@@ -6,7 +6,7 @@ gate runs the full 100k-user universe through ``repro bench-engine
 
 - cold build + first batch (interning, closure construction, answering);
 - warm ``check_access_many`` batch throughput;
-- the set-based comparator on the same universe (sampled);
+- the bench-side set-based reference on the same universe (sampled);
 - incremental delta maintenance (grant + assign churn on a built engine);
 - compiled KeyNote bytecode vs the tree-walking evaluator.
 """
@@ -16,21 +16,21 @@ import pytest
 from repro.keynote.eval import ConditionEvaluator, compile_conditions
 from repro.keynote.parser import parse_conditions
 from repro.keynote.values import DEFAULT_VALUE_SET
-from repro.rbac.bench import build_requests, build_universe
+from repro.rbac.bench import SetBasedReference, build_requests, build_universe
 
 _USERS = 5_000
 _ROLES = 500
 _BATCH = 2_000
 
 
-def _universe(compiled: bool):
-    policy = build_universe(_USERS, _ROLES, compiled=compiled, name="perf")
+def _universe():
+    policy = build_universe(_USERS, _ROLES, name="perf")
     return policy, build_requests(policy, _BATCH)
 
 
 def test_perf_engine_cold_build_and_batch(benchmark):
     def cold():
-        policy, requests = _universe(compiled=True)
+        policy, requests = _universe()
         return policy.check_access_many(requests)
 
     answers = benchmark(cold)
@@ -38,24 +38,25 @@ def test_perf_engine_cold_build_and_batch(benchmark):
 
 
 def test_perf_engine_warm_batch(benchmark):
-    policy, requests = _universe(compiled=True)
+    policy, requests = _universe()
     policy.check_access_many(requests)  # build + prime
     answers = benchmark(policy.check_access_many, requests)
     assert len(answers) == _BATCH
 
 
 def test_perf_set_based_checks(benchmark):
-    policy, requests = _universe(compiled=False)
+    policy, requests = _universe()
+    reference = SetBasedReference.from_policy(policy)
     sample = requests[:20]
 
     def set_based():
-        return [policy.check_access(u, ot, p) for u, ot, p in sample]
+        return reference.check_access_many(sample)
 
     assert len(benchmark(set_based)) == len(sample)
 
 
 def test_perf_engine_delta_maintenance(benchmark):
-    policy, requests = _universe(compiled=True)
+    policy, requests = _universe()
     policy.check_access_many(requests)  # build
     toggle = [0]
 

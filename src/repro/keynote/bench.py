@@ -6,8 +6,9 @@ constantly while a Zipfian request mix hammers the same hot decisions.
 Under the PR 3 generation-flush scheme every add/revoke cleared the whole
 decision cache, so churn-heavy traffic paid a cold fixpoint per decision
 per update.  This bench drives the *identical* seeded op sequence through
-two checkers — dependency-indexed incremental invalidation vs the
-generation-flush baseline (``incremental=False``) — and reports:
+two checkers — the production :class:`~repro.keynote.compliance.
+ComplianceChecker` with dependency-indexed incremental invalidation vs the
+:class:`GenerationFlushChecker` baseline defined here — and reports:
 
 * **warm-hit ratio under churn** for both modes (the headline gate:
   incremental must beat the baseline by ``min_hit_improvement``);
@@ -19,7 +20,7 @@ generation-flush baseline (``incremental=False``) — and reports:
   oracle_compliance_value`) and a cold rebuilt checker;
 * an **RBAC edge-churn section** proving hierarchy edge add/remove is
   absorbed as engine deltas (no full rebuilds) while agreeing with the
-  set-based path and the :class:`~repro.oracle.rbac_oracle.RBACOracle`;
+  set-based reference and the :class:`~repro.oracle.rbac_oracle.RBACOracle`;
 * a **stack-survival section** counting how many warm mediation-cache
   entries survive unrelated revocations under the decision-scoped
   fingerprints (``survived_churn``), with every served decision verified
@@ -33,14 +34,14 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any
+from typing import Any, Iterable
 
 from repro.keynote.api import KeyNoteSession
 from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.credential import Credential
 from repro.oracle.keynote_oracle import oracle_compliance_value
 from repro.oracle.rbac_oracle import RBACOracle
-from repro.rbac.bench import build_requests, build_universe
+from repro.rbac.bench import SetBasedReference, build_requests, build_universe
 from repro.rbac.model import DomainRole
 from repro.util.clock import SimulatedClock
 from repro.webcom.stack import AuthorisationStack, MediationRequest
@@ -48,6 +49,31 @@ from repro.webcom.stack import AuthorisationStack, MediationRequest
 #: the two operations the proxy workload requests (a stable referenced
 #: attribute vocabulary — churn must not change the cache key shape)
 _OPS = ("submit", "status")
+
+
+class GenerationFlushChecker(ComplianceChecker):
+    """The PR 3 invalidation scheme, kept as the churn bench's baseline:
+    every add or revoke flushes the whole decision cache.
+
+    It records no dependency sets and never evicts selectively, so
+    ``selective_evictions``, ``survived_churn`` and ``full_flushes`` stay
+    at 0 — the baseline does no more work than the scheme it stands for.
+    """
+
+    def _new_dependency_sets(self) -> None:
+        return None
+
+    def _evict_dependents(self, principals: Iterable[str] = (),
+                          assertion_ids: Iterable[int] = ()) -> int:
+        return 0
+
+    def _full_flush_on_churn(self) -> None:
+        pass
+
+    def _bump_generation(self) -> None:
+        with self._mutation_lock:
+            super()._bump_generation()
+            self._flush_decisions()
 
 
 def build_delegation_universe(*, orgs: int = 4, teams: int = 20,
@@ -90,11 +116,10 @@ def _fresh_checker(universe: dict[str, Any],
                    incremental: bool) -> ComplianceChecker:
     assertions = (universe["policy_creds"] + universe["org_creds"]
                   + universe["team_creds"] + universe["proxy_creds"])
+    checker_cls = ComplianceChecker if incremental else GenerationFlushChecker
     # Signatures are orthogonal to invalidation (and ride a process-wide
     # cache anyway); the bench measures the fixpoint + cache machinery.
-    return ComplianceChecker(assertions=list(assertions),
-                             verify_signatures=False,
-                             incremental=incremental)
+    return checker_cls(assertions=list(assertions), verify_signatures=False)
 
 
 def _churn_schedule(universe: dict[str, Any], steps: int,
@@ -188,8 +213,7 @@ def _oracle_cross_check(universe: dict[str, Any], phase: dict[str, Any],
     oracle and a cold rebuilt checker (cached == recomputed == oracle)."""
     checker: ComplianceChecker = phase["checker"]
     assertions = list(checker.assertions)
-    cold = ComplianceChecker(assertions=assertions, verify_signatures=False,
-                             incremental=True)
+    cold = ComplianceChecker(assertions=assertions, verify_signatures=False)
     rng = random.Random(seed + 41)
     disagreements = 0
     for _ in range(samples):
@@ -210,12 +234,14 @@ def _rbac_edge_churn(*, users: int = 300, roles: int = 60, steps: int = 40,
                      checks_per_step: int = 30, seed: int = 10,
                      ) -> dict[str, Any]:
     """Interleave hierarchy edge add/remove with grants and verify the
-    delta-maintained engine against the set-based path, with an oracle
+    delta-maintained engine against the set-based reference, with an oracle
     sweep at the end.  The engine must absorb every edge change as a
     delta: exactly one build, zero extra hierarchy rebuilds."""
     policy = build_universe(users, roles, domains=4, seed=seed,
-                            compiled=True, name="churn-edges")
+                            name="churn-edges")
     requests = build_requests(policy, checks_per_step * steps, seed=seed)
+    # Only hierarchy edges churn, and the reference shares the hierarchy.
+    reference = SetBasedReference.from_policy(policy)
     policy.check_access_many(requests[:checks_per_step])  # build engine
     stats0 = policy.engine_stats() or {}
     rebuilds0 = stats0.get("hierarchy_rebuilds", 0)
@@ -242,13 +268,7 @@ def _rbac_edge_churn(*, users: int = 300, roles: int = 60, steps: int = 40,
         batch = requests[step * checks_per_step:
                          (step + 1) * checks_per_step]
         engine_answers = policy.check_access_many(batch)
-        saved = policy.compiled
-        policy.compiled = False
-        try:
-            set_answers = [policy.check_access(u, ot, p)
-                           for u, ot, p in batch]
-        finally:
-            policy.compiled = saved
+        set_answers = reference.check_access_many(batch)
         disagreements += sum(1 for e, s in zip(engine_answers, set_answers)
                              if e != s)
     phase_s = time.perf_counter() - start

@@ -31,12 +31,11 @@ Hot-path machinery (the authorisation fast path):
   projection, canonical authorizer set, value set).  Values computed under a
   live cycle-break assumption are never cached (unless maximal, which
   monotonicity makes safe) — mirroring the in-query memo's taint rule;
-- *incremental invalidation* (the default; ``incremental=False`` restores
-  the PR 3 generation-flush behaviour for ablation): every cached decision
-  records the set of canonical principals whose delegation sub-graphs the
-  fixpoint actually descended and the set of assertions whose conditions it
-  evaluated.  :meth:`ComplianceChecker.add_assertion` evicts only the
-  decisions that visited the new assertion's authorizer;
+- *incremental invalidation*: every cached decision records the set of
+  canonical principals whose delegation sub-graphs the fixpoint actually
+  descended and the set of assertions whose conditions it evaluated.
+  :meth:`ComplianceChecker.add_assertion` evicts only the decisions that
+  visited the new assertion's authorizer;
   :meth:`ComplianceChecker.revoke_assertion` only the decisions that read
   the revoked assertion.  Soundness rests on monotonicity: an assertion
   authored by principal ``P`` can influence a decision only through
@@ -47,7 +46,10 @@ Hot-path machinery (the authorisation fast path):
   visited, so the recorded principal set over-approximates the true read
   set.  When a mutation changes the shape of the referenced-attribute
   projection (the cache key function itself), the checker falls back to a
-  conservative full flush (counted as ``full_flushes``);
+  conservative full flush (counted as ``full_flushes``).  The PR 3
+  generation-flush scheme (clear the whole cache on every mutation) lives
+  only bench-side, as the ``repro bench-churn`` baseline
+  :class:`repro.keynote.bench.GenerationFlushChecker`;
 - :meth:`ComplianceChecker.query_many` batches queries, sharing per-assertion
   condition evaluation across every query with the same attribute
   projection.
@@ -55,7 +57,6 @@ Hot-path machinery (the authorisation fast path):
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -68,19 +69,6 @@ from repro.keynote.values import DEFAULT_VALUE_SET, ComplianceValueSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
-
-
-def incremental_default() -> bool:
-    """Resolve the process-wide invalidation default.
-
-    ``REPRO_INCREMENTAL_INVALIDATION`` forces the choice (``0``/``false``/
-    ``no``/``off`` restore generation-flush, anything else enables
-    dependency-indexed selective eviction); unset means incremental on.
-    """
-    flag = os.environ.get("REPRO_INCREMENTAL_INVALIDATION")
-    if flag is None:
-        return True
-    return flag.strip().lower() not in ("0", "false", "no", "off")
 
 
 @dataclass
@@ -159,12 +147,8 @@ class ComplianceChecker:
         set changes.  Safe by construction: the cache key covers every
         attribute any assertion can read, the canonical authorizer set and
         the value set; :meth:`add_assertion` / :meth:`revoke_assertion` bump
-        :attr:`generation` and evict the dependent entries.
-    :param incremental: when True (the default, overridable with
-        ``REPRO_INCREMENTAL_INVALIDATION``), mutations evict only the
-        decisions whose recorded dependency sets intersect the delta; when
-        False every mutation flushes the whole decision cache (the PR 3
-        generation-flush baseline, kept as the ablation reference).
+        :attr:`generation` and evict only the entries whose recorded
+        dependency sets intersect the delta.
     :param metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
         when set, the per-query profile (memo hits/misses, assertions
         visited, fixpoint depth) is mirrored into ``keynote.*`` metrics and
@@ -182,7 +166,6 @@ class ComplianceChecker:
     strict: bool = False
     memoise: bool = True
     cache_decisions: bool = True
-    incremental: bool = field(default_factory=incremental_default)
     metrics: "MetricsRegistry | None" = None
     stats: ComplianceStats = field(init=False, repr=False,
                                    default_factory=ComplianceStats)
@@ -226,10 +209,8 @@ class ComplianceChecker:
 
     @property
     def generation(self) -> int:
-        """Bumped whenever the assertion set changes.  Under incremental
-        invalidation it is a pure mutation epoch (the in-flight store guard
-        and session fingerprints key on it); under ``incremental=False``
-        it additionally marks a full cache flush."""
+        """Bumped whenever the assertion set changes: a mutation epoch the
+        in-flight store guard and session fingerprints key on."""
         return self._generation
 
     @property
@@ -241,10 +222,10 @@ class ComplianceChecker:
         """Admit one more assertion; bumps the generation.
 
         Returns True if the assertion was admitted (False when its signature
-        was rejected in non-strict mode).  Under incremental invalidation
-        only the cached decisions whose fixpoint visited the new assertion's
-        authorizer are evicted — decisions that never descended into that
-        principal's sub-graph cannot change (monotonicity) and survive.
+        was rejected in non-strict mode).  Only the cached decisions whose
+        fixpoint visited the new assertion's authorizer are evicted —
+        decisions that never descended into that principal's sub-graph
+        cannot change (monotonicity) and survive.
 
         :raises CredentialError: for a bad signature in strict mode.
         """
@@ -252,7 +233,7 @@ class ComplianceChecker:
             old_shape = self._referenced_key
             self.assertions.append(assertion)  # type: ignore[union-attr]
             admitted = self._admit(assertion)
-            if self.incremental and admitted:
+            if admitted:
                 if self._referenced_key != old_shape:
                     # The cache key function itself changed; selective
                     # eviction cannot address old-projection entries.
@@ -266,10 +247,10 @@ class ComplianceChecker:
     def revoke_assertion(self, assertion: Credential) -> bool:
         """Remove one assertion; bumps the generation on success.
 
-        Under incremental invalidation only the decisions whose fixpoint
-        evaluated the revoked assertion are evicted — revocation propagates
-        through the delegation graph exactly as far as the dependency index
-        recorded, and unrelated warm decisions survive.
+        Only the decisions whose fixpoint evaluated the revoked assertion
+        are evicted — revocation propagates through the delegation graph
+        exactly as far as the dependency index recorded, and unrelated warm
+        decisions survive.
 
         Eviction ordering (pinned by test): dependents are evicted and the
         generation bumped *before* the prepared entry leaves
@@ -285,8 +266,7 @@ class ComplianceChecker:
             for index, prepared in enumerate(entries):
                 if prepared.credential == assertion:
                     old_shape = self._referenced_key
-                    if self.incremental:
-                        self._evict_dependents(assertion_ids=(id(prepared),))
+                    self._evict_dependents(assertion_ids=(id(prepared),))
                     self._bump_generation()
                     del entries[index]
                     if not entries:
@@ -296,7 +276,7 @@ class ComplianceChecker:
                     except ValueError:
                         pass
                     self._rebuild_referenced()
-                    if self.incremental and self._referenced_key != old_shape:
+                    if self._referenced_key != old_shape:
                         self._full_flush_on_churn()
                     return True
             return False
@@ -340,10 +320,6 @@ class ComplianceChecker:
             self._generation += 1
             # Canonicalisation may change too (e.g. a key registered since).
             self._canon_cache.clear()
-            if not self.incremental:
-                # Generation-flush baseline: every mutation clears the
-                # whole decision cache.
-                self._flush_decisions()
 
     def _flush_decisions(self) -> None:
         self._decision_cache.clear()
@@ -413,7 +389,6 @@ class ComplianceChecker:
                     "generation": self._generation,
                     "hits": self.cache_hits,
                     "misses": self.cache_misses,
-                    "incremental": int(self.incremental),
                     "selective_evictions": self.selective_evictions,
                     "survived_churn": self.survived_churn,
                     "full_flushes": self.full_flushes}
@@ -528,7 +503,7 @@ class ComplianceChecker:
             if self.metrics is not None:
                 self.metrics.counter("keynote.cache.miss").inc()
         profile = ComplianceStats(queries=1)
-        deps = ((set(), set()) if use_cache and self.incremental else None)
+        deps = self._new_dependency_sets() if use_cache else None
         try:
             result = self._evaluate(attributes, requesters, values, profile,
                                     cond_memo, deps)
@@ -555,6 +530,11 @@ class ComplianceChecker:
                     if deps is not None:
                         self._remember_deps(cache_key, deps)
         return result
+
+    def _new_dependency_sets(self) -> "tuple[set, set] | None":
+        """Fresh (principals, assertion ids) sets for one fixpoint to
+        record into; None records nothing."""
+        return set(), set()
 
     def _remember_deps(self, key: tuple,
                        deps: "tuple[set, set]") -> None:

@@ -11,9 +11,25 @@ much.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.util.clock import SimulatedClock
+
+
+def nearest_rank(samples: Iterable[float], fraction: float,
+                 empty: float = math.nan) -> float:
+    """Nearest-rank percentile: the smallest sample with at least
+    ``fraction`` (``0 <= fraction <= 1``) of the samples at or below it;
+    ``empty`` when there are no samples.
+
+    >>> nearest_rank([4.0, 1.0, 3.0, 2.0], 0.5)
+    2.0
+    """
+    ordered = sorted(samples)
+    if not ordered:
+        return empty
+    rank = max(1, math.ceil(fraction * len(ordered)))
+    return ordered[rank - 1]
 
 
 class Counter:
@@ -108,11 +124,7 @@ class Histogram:
         """Nearest-rank percentile, ``0 <= p <= 100``."""
         if not 0 <= p <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
-        if not self.samples:
-            return math.nan
-        ordered = sorted(v for _t, v in self.samples)
-        rank = max(1, math.ceil(p / 100 * len(ordered)))
-        return ordered[rank - 1]
+        return nearest_rank((v for _t, v in self.samples), p / 100)
 
     def as_dict(self) -> dict[str, Any]:
         summary = {"type": "histogram", "name": self.name,

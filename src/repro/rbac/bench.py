@@ -1,7 +1,8 @@
 """Compiled-engine benchmark (the ``BENCH_8.json`` CI artifact).
 
-Measures the bitset RBAC engine (:mod:`repro.rbac.engine`) against the
-retained set-based path of :class:`~repro.rbac.policy.RBACPolicy` on a
+Measures the bitset RBAC engine (:mod:`repro.rbac.engine`) that answers
+every :class:`~repro.rbac.policy.RBACPolicy` query against the set-based
+:class:`SetBasedReference` kept here as its baseline, on a
 synthetic universe sized like the Grid-scale deployments the framework
 targets: 100k users, 10k roles, a layered role hierarchy, and a Zipfian
 request mix (a few hot roles/objects take most of the traffic, the long
@@ -17,7 +18,7 @@ Three timings are reported:
 * **warm** — repeated batches once the engine (and nothing else: the
   set-based path has no cache to warm) is built.
 * **oracle** — a smaller universe is swept three-way: compiled engine vs
-  set-based path vs the PR 5 :class:`~repro.oracle.rbac_oracle.RBACOracle`
+  set-based reference vs the PR 5 :class:`~repro.oracle.rbac_oracle.RBACOracle`
   reference, over ``check_access``, ``roles_of`` and ``authorised_users``.
   Any disagreement fails the ``--check`` gate.
 
@@ -33,13 +34,70 @@ from typing import Any, Sequence
 
 from repro.oracle.rbac_oracle import RBACOracle
 from repro.rbac.hierarchy import RoleHierarchy
-from repro.rbac.model import DomainRole
+from repro.rbac.model import Assignment, DomainRole, Grant
 from repro.rbac.policy import RBACPolicy
 
 #: object types in the synthetic universe (middleware-ish vocabulary)
 _OBJECT_TYPES = ("invoice", "ledger", "queue", "topic", "component",
                  "interface", "method", "file")
 _PERMISSIONS = ("read", "write", "invoke", "configure")
+
+
+class SetBasedReference:
+    """The readable set-based RBAC queries: direct comprehensions over the
+    two relations and :class:`~repro.rbac.hierarchy.RoleHierarchy` walks.
+
+    It is the cold baseline of the ``bench-engine`` speed-up gate and a
+    differential reference for the engine test suites; production queries
+    never come here.  The relations are captured when the reference is
+    built (rebuild it after a grant or assignment changes); the hierarchy
+    object is shared, so edge changes are seen at once.
+    """
+
+    def __init__(self, grants: frozenset[Grant],
+                 assignments: frozenset[Assignment],
+                 hierarchy: RoleHierarchy) -> None:
+        self.grants = grants
+        self.assignments = assignments
+        self.hierarchy = hierarchy
+
+    @classmethod
+    def from_policy(cls, policy: RBACPolicy) -> "SetBasedReference":
+        return cls(policy.grants, policy.assignments, policy.hierarchy)
+
+    def permissions_of(self, domain: str, role: str) -> set[Grant]:
+        pairs = {DomainRole(domain, role)}
+        pairs |= self.hierarchy.juniors(DomainRole(domain, role))
+        return {g for g in self.grants if g.domain_role in pairs}
+
+    def roles_of(self, user: str) -> set[DomainRole]:
+        direct = {a.domain_role for a in self.assignments if a.user == user}
+        closed: set[DomainRole] = set()
+        for dr in direct:
+            closed.add(dr)
+            closed |= self.hierarchy.juniors(dr)
+        return closed
+
+    def check_access(self, user: str, object_type: str,
+                     permission: str) -> bool:
+        roles = self.roles_of(user)
+        return any(g.domain_role in roles and g.object_type == object_type
+                   and g.permission == permission for g in self.grants)
+
+    def check_access_many(self, requests: Sequence[tuple[str, str, str]],
+                          ) -> list[bool]:
+        return [self.check_access(user, object_type, permission)
+                for user, object_type, permission in requests]
+
+    def authorised_users(self, object_type: str, permission: str) -> set[str]:
+        holders = {g.domain_role for g in self.grants
+                   if g.object_type == object_type
+                   and g.permission == permission}
+        qualifying = set(holders)
+        for dr in holders:
+            qualifying |= self.hierarchy.seniors(dr)
+        return {a.user for a in self.assignments
+                if a.domain_role in qualifying}
 
 
 def _zipf_choices(rng: random.Random, population: Sequence[Any],
@@ -51,7 +109,7 @@ def _zipf_choices(rng: random.Random, population: Sequence[Any],
 
 def build_universe(users: int, roles: int, *, domains: int = 8,
                    grants_per_role: int = 2, seed: int = 8,
-                   compiled: bool, name: str = "bench") -> RBACPolicy:
+                   name: str = "bench") -> RBACPolicy:
     """A seeded policy universe: layered hierarchy, Zipfian assignments."""
     rng = random.Random(seed)
     hierarchy = RoleHierarchy()
@@ -69,7 +127,7 @@ def build_universe(users: int, roles: int, *, domains: int = 8,
                     hierarchy.add_inheritance(senior, junior)
                 except Exception:  # pragma: no cover - layering prevents it
                     pass
-    policy = RBACPolicy(name, hierarchy=hierarchy, compiled=compiled)
+    policy = RBACPolicy(name, hierarchy=hierarchy)
     for role in role_list:
         for _ in range(grants_per_role):
             policy.grant(role.domain, role.role,
@@ -92,26 +150,17 @@ def build_requests(policy: RBACPolicy, count: int,
     return list(zip(subjects, object_types, permissions))
 
 
-def _set_based_answers(policy: RBACPolicy,
-                       requests: Sequence[tuple[str, str, str]]) -> list[bool]:
-    saved = policy.compiled
-    policy.compiled = False
-    try:
-        return [policy.check_access(u, ot, p) for u, ot, p in requests]
-    finally:
-        policy.compiled = saved
-
-
 def _oracle_sweep(users: int = 300, roles: int = 60,
                   checks: int = 400, seed: int = 8) -> dict[str, Any]:
     """Three-way equivalence sweep on a universe small enough for the
     naive oracle (its closure is iterate-until-stable per query)."""
     policy = build_universe(users, roles, domains=4, seed=seed,
-                            compiled=True, name="oracle-sweep")
+                            name="oracle-sweep")
     oracle = RBACOracle.from_policy(policy)
     requests = build_requests(policy, checks, seed=seed)
     engine_answers = policy.check_access_many(requests)
-    set_answers = _set_based_answers(policy, requests)
+    set_answers = SetBasedReference.from_policy(policy).check_access_many(
+        requests)
     oracle_answers = [oracle.check_access(u, ot, p) for u, ot, p in requests]
     disagreements = sum(
         1 for e, s, o in zip(engine_answers, set_answers, oracle_answers)
@@ -143,7 +192,7 @@ def run_engine_bench(users: int = 100_000, roles: int = 10_000,
     requests = None
 
     # Cold compiled: engine build + first batch, timed together.
-    policy = build_universe(users, roles, seed=seed, compiled=True)
+    policy = build_universe(users, roles, seed=seed)
     requests = build_requests(policy, batch, seed=seed)
     start = time.perf_counter()
     compiled_answers = policy.check_access_many(requests)
@@ -151,8 +200,9 @@ def run_engine_bench(users: int = 100_000, roles: int = 10_000,
 
     # Cold set-based: the same requests, sampled (full sweep is O(n·batch)).
     sample = requests[:set_based_sample]
+    reference = SetBasedReference.from_policy(policy)
     start = time.perf_counter()
-    sampled_set_answers = _set_based_answers(policy, sample)
+    sampled_set_answers = reference.check_access_many(sample)
     cold_set_s = time.perf_counter() - start
     agreement = sampled_set_answers == compiled_answers[:set_based_sample]
 

@@ -1,13 +1,14 @@
 """A compiled, columnar RBAC engine (bitset evaluation).
 
-The set-based query paths of :class:`~repro.rbac.policy.RBACPolicy` scan the
-raw ``HasPermission`` / ``UserAssignment`` relations per decision —
+Set-based RBAC queries (kept bench-side as
+:class:`~repro.rbac.bench.SetBasedReference`) scan the raw
+``HasPermission`` / ``UserAssignment`` relations per decision —
 ``roles_of`` walks every assignment, ``check_access`` every grant.  That is
 the executable spec, but it caps cold-path throughput at large universes.
 This module is the engine swap ROADMAP item 3 calls for: the *service
-interface stays stable* (the policy's method signatures are unchanged; it
-routes here when ``compiled`` is on) while the representation underneath is
-columnar:
+interface stays stable* (every :class:`~repro.rbac.policy.RBACPolicy` query
+routes here behind unchanged method signatures) while the representation
+underneath is columnar:
 
 - users, domain-roles and ``(object_type, permission)`` pairs are interned
   into dense integer ids (interning is append-only — ids never move);
@@ -31,9 +32,10 @@ Every decision is then bitwise: ``check_access`` is one AND+shift, batch
 batch, and ``authorised_users`` ORs the member masks of the qualifying
 roles instead of re-deriving ``roles_of`` per user.
 
-The engine is *decision-identical* to the set-based path by construction
-and by test: the PR 5 oracle differ and the hypothesis churn suite compare
-the three implementations (engine, sets, naive oracle) answer by answer.
+The engine is *decision-identical* to the set-based reference by
+construction and by test: the PR 5 oracle differ and the hypothesis churn
+suite compare the three implementations (engine, sets, naive oracle)
+answer by answer.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ def _iter_bits(mask: int) -> Iterator[int]:
 class RBACEngine:
     """Bitset-compiled view of one policy's relations and hierarchy.
 
-    Built lazily by :class:`~repro.rbac.policy.RBACPolicy` on first
-    compiled query, then kept in sync by O(delta) mutation calls.  The
+    Built lazily by :class:`~repro.rbac.policy.RBACPolicy` on its first
+    query, then kept in sync by O(delta) mutation calls.  The
     hierarchy is owned by the policy and may be mutated (or replaced)
     behind the engine's back, so every query entry point goes through
     :meth:`sync_hierarchy`, which recompiles the closure columns only when

@@ -31,6 +31,7 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.obs.metrics import nearest_rank
 from repro.serve.client import ServeCallError, ServeClient
 from repro.serve.plane import ServePolicyPlane
 from repro.serve.server import ReproServer
@@ -40,16 +41,6 @@ from repro.util.clock import WallClock
 #: left out so the run exercises agreed-upon denials too
 ALLOWED_OPS = ("stage", "execute", "fetch")
 DENIED_OP = "admin"
-
-
-def percentile(samples: list[float], fraction: float) -> float:
-    """Nearest-rank percentile (0.0 for an empty sample set)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1,
-               max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 def _client_requests(index: int, requests: int) -> list[dict[str, Any]]:
@@ -95,8 +86,8 @@ def _pass_stats(outcomes: list[dict[str, Any]],
         "seconds": elapsed,
         "requests_per_sec": (len(latencies) / elapsed if elapsed > 0
                              else 0.0),
-        "p50_ms": percentile(latencies, 0.50) * 1000.0,
-        "p99_ms": percentile(latencies, 0.99) * 1000.0,
+        "p50_ms": nearest_rank(latencies, 0.50, empty=0.0) * 1000.0,
+        "p99_ms": nearest_rank(latencies, 0.99, empty=0.0) * 1000.0,
         "probes": sum(out["probes"] for out in outcomes),
         "disagreements": sum(out["disagreements"] for out in outcomes),
         "denials": sum(out["denials"] for out in outcomes),

@@ -43,12 +43,13 @@ from pathlib import Path
 from typing import Any
 
 from repro.keynote.credential import Credential
+from repro.obs.metrics import nearest_rank
 from repro.serve.admission import (
     AdmissionController,
     BrownoutController,
     RetryBudget,
 )
-from repro.serve.bench import ALLOWED_OPS, DENIED_OP, percentile
+from repro.serve.bench import ALLOWED_OPS, DENIED_OP
 from repro.serve.client import ServeCallError, ServeClient
 from repro.serve.plane import ServePolicyPlane
 from repro.serve.server import ReproServer
@@ -219,8 +220,8 @@ def _aggregate(outcomes: list[dict[str, Any]],
         "disagreements": sum(o["disagreements"] for o in outcomes),
         "seconds": elapsed,
         "goodput_per_sec": accepted / elapsed if elapsed > 0 else 0.0,
-        "p50_ms": percentile(latencies, 0.50) * 1000.0,
-        "p99_ms": percentile(latencies, 0.99) * 1000.0,
+        "p50_ms": nearest_rank(latencies, 0.50, empty=0.0) * 1000.0,
+        "p99_ms": nearest_rank(latencies, 0.99, empty=0.0) * 1000.0,
     }
 
 

@@ -29,7 +29,6 @@ from repro.middleware.corba import CorbaOrb
 from repro.obs import Observability, spans_to_dicts
 from repro.oracle.keynote_oracle import oracle_compliance_value
 from repro.oracle.rbac_oracle import RBACOracle
-from repro.rbac.policy import RBACPolicy
 from repro.rbac.serialize import policy_to_dict
 from repro.store.durable import DurablePolicyNode
 from repro.translate.from_keynote import comprehend_credentials
@@ -122,27 +121,23 @@ class ServePolicyPlane:
         self.probes = 0
         self.oracle_disagreements = 0
         self._closed = False
-        # Compiled view of the ORB's RBAC content (the bitset engine,
-        # PR 8): extracted once and reused across probes, invalidated
-        # whenever a KeyCom update actually lands.
-        self._rbac_view: "RBACPolicy | None" = None
+        # The probe's RBAC oracle over the ORB's policy: built once and
+        # reused across probes, dropped whenever a KeyCom update lands.
+        self._rbac_oracle: "RBACOracle | None" = None
 
-    # -- compiled RBAC view ------------------------------------------------
+    # -- probe RBAC oracle -------------------------------------------------
 
-    def middleware_rbac(self) -> "RBACPolicy":
-        """The ORB's RBAC policy, extracted once and engine-compiled.
+    def middleware_oracle(self) -> RBACOracle:
+        """The relational RBAC oracle over the ORB's policy.
 
-        Probes used to re-extract (and the oracle to re-close) the whole
-        policy per request; the cached view keeps the compiled engine's
-        interning tables and hierarchy closure warm across probes.
+        Extracting the policy and flattening it into oracle tuples costs a
+        walk of the whole ORB, so probes share one oracle until an applied
+        KeyCom update changes the ORB.
         """
-        if self._rbac_view is None:
-            self._rbac_view = self.middleware.extract_rbac()
-            self._rbac_view.compiled = True
-        return self._rbac_view
-
-    def _invalidate_rbac_view(self) -> None:
-        self._rbac_view = None
+        if self._rbac_oracle is None:
+            self._rbac_oracle = RBACOracle.from_policy(
+                self.middleware.extract_rbac())
+        return self._rbac_oracle
 
     # -- request plumbing --------------------------------------------------
 
@@ -235,7 +230,7 @@ class ServePolicyPlane:
         expected = self.session.values.at_least(value,
                                                 self.session.values.maximum)
         if Layer.MIDDLEWARE in self.stack.configured_layers():
-            oracle = RBACOracle.from_policy(self.middleware_rbac())
+            oracle = self.middleware_oracle()
             expected = expected and oracle.check_access(
                 request.user, request.object_type, request.operation)
         agree = decision.is_degraded() or (decision.allowed == expected)
@@ -281,7 +276,7 @@ class ServePolicyPlane:
         before = self.keycom.duplicates
         applied = self.keycom.submit(request)
         if applied:
-            self._invalidate_rbac_view()
+            self._rbac_oracle = None
         return {"applied": applied,
                 "duplicate": self.keycom.duplicates > before,
                 "domain": request.domain, "role": request.role,
@@ -341,8 +336,6 @@ class ServePolicyPlane:
             "health": self.stack.health_snapshot(),
             "keycom": {"applied_ids": len(self.keycom.applied_ids),
                        "duplicates": self.keycom.duplicates},
-            "rbac_engine": (self._rbac_view.engine_stats()
-                            if self._rbac_view is not None else None),
         }
 
     def close(self) -> dict[str, Any]:

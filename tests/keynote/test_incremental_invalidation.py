@@ -13,8 +13,9 @@ import random
 
 import pytest
 
-from repro.keynote.bench import _OPS, _attrs, build_delegation_universe
-from repro.keynote.compliance import ComplianceChecker, incremental_default
+from repro.keynote.bench import (
+    _OPS, GenerationFlushChecker, _attrs, build_delegation_universe)
+from repro.keynote.compliance import ComplianceChecker
 from repro.keynote.credential import Credential
 from repro.oracle.keynote_oracle import oracle_compliance_value
 
@@ -23,13 +24,10 @@ def small_universe():
     return build_delegation_universe(orgs=2, teams=4, users=24, seed=3)
 
 
-def fresh_checker(universe, incremental=True, extra=()):
+def fresh_checker(universe, checker_cls=ComplianceChecker):
     assertions = (universe["policy_creds"] + universe["org_creds"]
-                  + universe["team_creds"] + universe["proxy_creds"]
-                  + list(extra))
-    return ComplianceChecker(assertions=list(assertions),
-                             verify_signatures=False,
-                             incremental=incremental)
+                  + universe["team_creds"] + universe["proxy_creds"])
+    return checker_cls(assertions=list(assertions), verify_signatures=False)
 
 
 def probe(checker, universe, user, op="submit"):
@@ -42,7 +40,7 @@ class TestMetamorphicEquivalence:
 
     def assert_agrees_with_cold(self, checker, universe):
         cold = ComplianceChecker(assertions=list(checker.assertions),
-                                 verify_signatures=False, incremental=True)
+                                 verify_signatures=False)
         for user in range(universe["users"]):
             for op in _OPS:
                 assert probe(checker, universe, user, op) == \
@@ -150,18 +148,34 @@ class TestSelectiveEviction:
 
     def test_generation_flush_baseline_still_drops_everything(self):
         universe = small_universe()
-        checker = fresh_checker(universe, incremental=False)
+        checker = fresh_checker(universe,
+                                checker_cls=GenerationFlushChecker)
         probe(checker, universe, 0)
         probe(checker, universe, 1)
+        assert checker.cache_info()["entries"] == 2
+        # The baseline records no dependency sets at all.
+        assert not checker._decision_deps
         checker.revoke_assertion(universe["proxy_creds"][23])  # unrelated
         assert checker.cache_info()["entries"] == 0
-        assert checker.selective_evictions == 0
-
-    def test_env_flag_selects_the_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL_INVALIDATION", "0")
-        assert incremental_default() is False
-        monkeypatch.setenv("REPRO_INCREMENTAL_INVALIDATION", "1")
-        assert incremental_default() is True
+        probe(checker, universe, 0)
+        checker.add_assertion(universe["proxy_creds"][23])  # unrelated
+        assert checker.cache_info()["entries"] == 0
+        # A new attribute name would make the production checker fall
+        # back to a counted full flush; the baseline flushes regardless.
+        probe(checker, universe, 0)
+        checker.add_assertion(Credential.build(
+            "Kuser0", '"Kproxy0"', 'vo=="atlas"'))
+        assert checker.cache_info()["entries"] == 0
+        info = checker.cache_info()
+        assert info["selective_evictions"] == 0
+        assert info["survived_churn"] == 0
+        assert info["full_flushes"] == 0
+        # Flushing never changes an answer.
+        cold = ComplianceChecker(assertions=list(checker.assertions),
+                                 verify_signatures=False)
+        for user in range(universe["users"]):
+            assert probe(checker, universe, user) == \
+                probe(cold, universe, user)
 
 
 class TestRevokeEvictionOrdering:

@@ -13,7 +13,8 @@ from repro.obs.export import (
     render_metrics,
     render_trace,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+                               nearest_rank)
 from repro.util.clock import SimulatedClock
 
 
@@ -65,6 +66,20 @@ class TestHistogram:
         assert math.isnan(h.percentile(95))
         assert h.as_dict() == {"type": "histogram", "name": "latency",
                                "count": 0}
+
+    def test_one_nearest_rank_convention(self):
+        """Histograms and the bench reports share ceil nearest-rank: the
+        p50 of four samples is the 2nd smallest, not the rounded-index
+        3rd."""
+        samples = [4.0, 1.0, 3.0, 2.0]
+        h = Histogram("latency")
+        for v in samples:
+            h.observe(v)
+        assert nearest_rank(samples, 0.5) == h.percentile(50) == 2.0
+        assert nearest_rank(samples, 0.75) == h.percentile(75) == 3.0
+        assert nearest_rank(samples, 0.0) == 1.0
+        assert math.isnan(nearest_rank([], 0.5))
+        assert nearest_rank([], 0.5, empty=0.0) == 0.0
 
     def test_percentile_range_checked(self):
         with pytest.raises(ValueError):

@@ -2,22 +2,23 @@
 
 import pytest
 
-from repro.serve.bench import check_bench, percentile, run_serve_bench
+from repro.obs.metrics import nearest_rank
+from repro.serve.bench import check_bench, run_serve_bench
 
 
 class TestPercentile:
     def test_nearest_rank(self):
         samples = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert percentile(samples, 0.5) == 3.0
-        assert percentile(samples, 0.99) == 5.0
-        assert percentile(samples, 0.0) == 1.0
+        assert nearest_rank(samples, 0.5) == 3.0
+        assert nearest_rank(samples, 0.99) == 5.0
+        assert nearest_rank(samples, 0.0) == 1.0
 
     def test_order_independent(self):
-        assert percentile([3.0, 1.0, 2.0], 0.5) == \
-            percentile([1.0, 2.0, 3.0], 0.5)
+        assert nearest_rank([3.0, 1.0, 2.0], 0.5) == \
+            nearest_rank([1.0, 2.0, 3.0], 0.5)
 
     def test_empty_is_zero(self):
-        assert percentile([], 0.5) == 0.0
+        assert nearest_rank([], 0.5, empty=0.0) == 0.0
 
 
 @pytest.mark.slow

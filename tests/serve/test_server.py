@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import AlreadyRunningError
 from repro.keynote.credential import Credential
+from repro.oracle.rbac_oracle import RBACOracle
 from repro.serve.client import ServeCallError, ServeClient
 from repro.serve.plane import ServePolicyPlane
 from repro.serve.server import ReproServer
@@ -145,14 +146,11 @@ class TestServerCore:
 
 
 class TestSelectiveInvalidationOverTheWire:
-    def test_unrelated_revocation_keeps_warm_mediations(self, monkeypatch):
+    def test_unrelated_revocation_keeps_warm_mediations(self):
         """PR 10, over the serve plane: revoking one principal's credential
         invalidates exactly that principal's warm mediation entry; other
         clients keep their cache hits (counted as ``survived_churn``) and
         nobody is ever served a stale ALLOW."""
-        # The property under test is the selective path — pin the mode on
-        # even when the suite runs under the generation-flush ablation.
-        monkeypatch.setenv("REPRO_INCREMENTAL_INVALIDATION", "1")
 
         async def scenario():
             plane = _plane(cache_ttl=60.0)
@@ -193,9 +191,39 @@ class TestSelectiveInvalidationOverTheWire:
         assert cache["survived_churn"] >= 1   # Bob's entry outlived the churn
         assert cache["invalidated"] >= 1      # Alice's did not
         tm_cache = status["plane"]["tm_cache"]
-        assert tm_cache["incremental"] == 1
         assert tm_cache["selective_evictions"] >= 1
         assert tm_cache["full_flushes"] == 0
+
+
+class TestProbeOracleCache:
+    def test_probes_share_one_oracle_until_an_update_lands(self,
+                                                           monkeypatch):
+        plane = _plane(plug_middleware=True)
+        plane.session.add_policy(TRUST_ROOT)
+        builds = []
+        from_policy = RBACOracle.from_policy
+
+        def counting_from_policy(policy):
+            builds.append(policy)
+            return from_policy(policy)
+
+        monkeypatch.setattr(RBACOracle, "from_policy", counting_from_policy)
+        plane.probe(MEDIATE)
+        plane.probe(MEDIATE)
+        assert len(builds) == 1
+        membership = Credential.build(
+            "KWebCom", '"Kuser"',
+            membership_conditions(plane.middleware.domain, "Clerk"),
+        ).sign(plane.keystore.pair("KWebCom").private)
+        update = plane.keycom_update({
+            "user": "alice", "user_key": "Kuser",
+            "domain": plane.middleware.domain, "role": "Clerk",
+            "credentials": [membership.to_text()], "request_id": "u-1"})
+        assert update["applied"]
+        plane.probe(MEDIATE)
+        assert len(builds) == 2
+        assert plane.status()["oracle_disagreements"] == 0
+        assert "rbac_engine" not in plane.status()
 
 
 class TestRequestIdDedup:

@@ -2,7 +2,7 @@
 
 Hypothesis drives arbitrary interleavings of grant/assign/revoke and
 hierarchy edge addition/removal against a compiled policy, then asserts
-the bitset engine, the retained set-based path, and the naive PR 5
+the bitset engine, the bench-side set-based reference, and the naive PR 5
 :class:`RBACOracle` all agree on every decision surface — both at the
 end of the interleaving and (PR 10) after EVERY single operation, while
 the engine absorbs hierarchy edge changes as O(delta) cone updates
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import HierarchyError
 from repro.oracle.rbac_oracle import RBACOracle
+from repro.rbac.bench import SetBasedReference
 from repro.rbac.model import DomainRole
 from repro.rbac.policy import RBACPolicy
 
@@ -64,13 +65,12 @@ class TestEngineChurnProperties:
     @given(ops=st.lists(_OPS, max_size=30))
     @settings(max_examples=80, deadline=None)
     def test_three_way_agreement(self, ops):
-        policy = RBACPolicy("fuzz", compiled=True)
+        policy = RBACPolicy("fuzz")
         policy.check_access(_USERS[0], _OBJECTS[0], _PERMS[0])  # build early
         for op in ops:
             _apply(policy, op)
         oracle = RBACOracle.from_policy(policy)
-        plain = policy.copy()
-        plain.compiled = False
+        plain = SetBasedReference.from_policy(policy)
         requests = [(u, o, p)
                     for u in _USERS for o in _OBJECTS for p in _PERMS]
         batch = policy.check_access_many(requests)
@@ -94,12 +94,11 @@ class TestEngineChurnProperties:
     def test_incremental_equals_rebuilt(self, ops):
         """A policy maintained by deltas answers like one rebuilt from
         scratch over the same final relations."""
-        policy = RBACPolicy("fuzz", compiled=True)
+        policy = RBACPolicy("fuzz")
         policy.check_access(_USERS[0], _OBJECTS[0], _PERMS[0])
         for op in ops:
             _apply(policy, op)
-        rebuilt = RBACPolicy("rebuilt", hierarchy=policy.hierarchy.copy(),
-                             compiled=True)
+        rebuilt = RBACPolicy("rebuilt", hierarchy=policy.hierarchy.copy())
         for grant in policy.grants:
             rebuilt.add_grant(grant)
         for assignment in policy.assignments:
@@ -120,7 +119,7 @@ class TestEngineChurnProperties:
         with the naive oracle, and the whole interleaving is absorbed
         without a single closure rebuild (``hierarchy_rebuilds`` stays at
         its initial value; edge changes surface as ``edge_deltas``)."""
-        policy = RBACPolicy("fuzz", compiled=True)
+        policy = RBACPolicy("fuzz")
         policy.check_access(_USERS[0], _OBJECTS[0], _PERMS[0])  # build
         stats = policy.engine_stats()
         assert stats is not None
@@ -131,8 +130,7 @@ class TestEngineChurnProperties:
             _apply(policy, op)
             batch = policy.check_access_many(requests)
             rebuilt = RBACPolicy("rebuilt",
-                                 hierarchy=policy.hierarchy.copy(),
-                                 compiled=True)
+                                 hierarchy=policy.hierarchy.copy())
             for grant in policy.grants:
                 rebuilt.add_grant(grant)
             for assignment in policy.assignments:

@@ -151,14 +151,11 @@ class TestStackStaleFreshConfusion:
         assert not second.allowed
         assert stack.cache_hits == 0
 
-    def test_mid_mediation_revocation_on_the_selective_eviction_path(
-            self, monkeypatch):
+    def test_mid_mediation_revocation_on_the_selective_eviction_path(self):
         """PR 10 regression: dependency-indexed invalidation narrows what a
         revocation evicts — but a revocation landing *mid-mediation* must
         still never let the dependent decision be cached as fresh, while a
         non-dependent principal's warm entry survives the same churn."""
-        # Pin the selective mode on even under the generation-flush ablation.
-        monkeypatch.setenv("REPRO_INCREMENTAL_INVALIDATION", "1")
         keystore = Keystore()
         keystore.create("Kroot")
         keystore.create("Kuser")
